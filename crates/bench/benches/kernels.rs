@@ -7,7 +7,7 @@ use ebtrain_dnn::layer::{BackwardContext, CompressionPlan, ForwardContext};
 use ebtrain_dnn::layers::Conv2d;
 use ebtrain_dnn::store::RawStore;
 use ebtrain_encoding::{huffman, lz};
-use ebtrain_tensor::{gemm_nn, im2col, Conv2dGeometry, Tensor};
+use ebtrain_tensor::{gemm, gemm_nn, im2col, Conv2dGeometry, GemmLayout, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -22,6 +22,25 @@ fn bench_gemm(c: &mut Criterion) {
             bench.iter(|| {
                 let mut out = vec![0.0f32; n * n];
                 gemm_nn(n, n, n, &a, &b, &mut out);
+                out
+            })
+        });
+    }
+    // The three products of a `tiny_vgg` 16→16 3×3 conv at 32 px, per
+    // sample: forward (W·col), weight gradient (dY·colᵀ) and input
+    // gradient (Wᵀ·dY), as `m×k×n`.
+    for (layout, (m, k, n)) in [
+        (GemmLayout::NN, (16, 144, 1024)),
+        (GemmLayout::NT, (16, 1024, 144)),
+        (GemmLayout::TN, (144, 16, 1024)),
+    ] {
+        let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        group.throughput(Throughput::Elements((m * k * n) as u64));
+        group.bench_function(format!("{layout:?}/{m}x{k}x{n}"), |bench| {
+            bench.iter(|| {
+                let mut out = vec![0.0f32; m * n];
+                gemm(layout, m, k, n, &a, &b, &mut out);
                 out
             })
         });

@@ -197,11 +197,11 @@ impl Layer for Conv2d {
         dy.expect_shape(&[n, self.out_c, oh, ow])?;
 
         let mut dx = Tensor::zeros(&[n, c, h, w]);
+        // `col(X_s)` for dW, then reused as the dX scratch once consumed.
         let mut col = vec![0.0f32; rows * cols];
-        let mut dcol = vec![0.0f32; rows * cols];
         let in_plane = c * h * w;
         let out_plane = self.out_c * oh * ow;
-        let w2d = self.weight.value.data().to_vec();
+        let w2d = self.weight.value.data();
         for s in 0..n {
             let x_s = &x.data()[s * in_plane..(s + 1) * in_plane];
             let dy_s = &dy.data()[s * out_plane..(s + 1) * out_plane];
@@ -221,11 +221,11 @@ impl Layer for Conv2d {
                     dy_s[oc * oh * ow..(oc + 1) * oh * ow].iter().sum::<f32>();
             }
             // dX_s = col2im(W^T · dY_s) — untouched by compression error.
-            dcol.fill(0.0);
-            gemm_tn(rows, self.out_c, cols, &w2d, dy_s, &mut dcol);
+            col.fill(0.0);
+            gemm_tn(rows, self.out_c, cols, w2d, dy_s, &mut col);
             col2im(
                 &geo,
-                &dcol,
+                &col,
                 &mut dx.data_mut()[s * in_plane..(s + 1) * in_plane],
             );
         }
